@@ -80,16 +80,22 @@ void EmContext::CompileKeys() {
 }
 
 EmContext::EmContext(const Graph& g, const KeySet& keys,
-                     const EmOptions& opts)
-    : g_(&g), keys_(&keys), opts_(opts) {
+                     const EmOptions& opts, bool feeds_product_graph)
+    : g_(&g),
+      keys_(&keys),
+      opts_(opts),
+      feeds_product_graph_(feeds_product_graph) {
   CompileKeys();
   BuildCandidates();
   BuildDependencyIndex(nullptr, nullptr);
 }
 
 EmContext::EmContext(DeserializeShell, const Graph& g, const KeySet& keys,
-                     const EmOptions& opts)
-    : g_(&g), keys_(&keys), opts_(opts) {
+                     const EmOptions& opts, bool feeds_product_graph)
+    : g_(&g),
+      keys_(&keys),
+      opts_(opts),
+      feeds_product_graph_(feeds_product_graph) {
   // Compiling the keys is cheap and deterministic; the expensive build
   // phases are replaced by storage::PlanCodec restoring their outputs.
   CompileKeys();
@@ -302,11 +308,6 @@ void EmContext::BuildCandidates() {
   // sharing a required (predicate, value) signature are materialized —
   // the O(n²)-pair wall of the naive enumeration never forms. Types whose
   // keys pin nothing on x directly fall back to the full double loop.
-  struct RawPair {
-    NodeId e1, e2;
-    const std::vector<int>* keys;
-    bool recursive, value_based;
-  };
   std::vector<RawPair> raw;
   std::vector<std::pair<NodeId, NodeId>> block_scratch;
   for (const auto& [type, key_ids] : keys_by_type_) {
@@ -359,43 +360,82 @@ void EmContext::BuildCandidates() {
     return std::tie(a.e1, a.e2) < std::tie(b.e1, b.e2);
   });
 
-  // Phase C: optional pairing filter + neighbor reduction, in parallel.
-  struct Reduction {
-    bool keep = true;
-    NodeSet r1, r2;
-  };
-  std::vector<Reduction> reductions(opts_.use_pairing ? raw.size() : 0);
-  if (opts_.use_pairing) {
-    // Sharded so each worker owns one PairingScratch: the pairing calls
-    // reuse domain/bitset/worklist buffers across the whole shard instead
-    // of reallocating per candidate pair.
-    std::vector<PairingScratch> scratches(p);
-    ParallelShards(p, raw.size(), [&](int shard, size_t begin, size_t end) {
-      PairingScratch& scratch = scratches[shard];
-      for (size_t i = begin; i < end; ++i) {
-        const RawPair& rp = raw[i];
-        const NodeSet& n1 = DNbr(rp.e1);
-        const NodeSet& n2 = DNbr(rp.e2);
-        Reduction& red = reductions[i];
-        red.keep = false;
-        for (int ki : *rp.keys) {
-          PairingResult pr =
-              ComputeMaxPairing(g, compiled_[ki].cp, rp.e1, rp.e2, n1, n2,
-                                /*collect_pairs=*/false, &scratch);
-          if (pr.paired) {
-            red.keep = true;  // §4.2: keep only pairable pairs (Prop. 9)
-            red.r1.UnionWith(pr.reduced1);
-            red.r2.UnionWith(pr.reduced2);
-          }
-        }
-      }
-    });
-  }
-
-  // Assembly (sequential). Pairs the pairing filter rejects just
+  // Phase C: pairing filter + neighbor reduction (+ the product graph's
+  // relations), in parallel. Pairs the pairing filter rejects just
   // disappear from L — ghost tracking rediscovers the ones that matter
   // from the d-neighbor overlaps.
+  std::vector<PairingOutcome> outcomes = PairRawCandidates(raw, p);
+  AssembleCandidates(raw, outcomes, nullptr, nullptr, nullptr);
+}
+
+std::vector<EmContext::PairingOutcome> EmContext::PairRawCandidates(
+    const std::vector<RawPair>& raw, int workers) const {
+  if (!opts_.use_pairing && !feeds_product_graph_) return {};
+  const Graph& g = *g_;
+  const bool collect = feeds_product_graph_;
+  std::vector<PairingOutcome> outcomes(raw.size());
+  // Sharded so each worker owns one PairingScratch: the pairing calls
+  // reuse domain/bitset/worklist buffers across the whole shard instead
+  // of reallocating per candidate pair.
+  std::vector<PairingScratch> scratches(workers);
+  ParallelShards(workers, raw.size(), [&](int shard, size_t begin,
+                                          size_t end) {
+    PairingScratch& scratch = scratches[shard];
+    for (size_t i = begin; i < end; ++i) {
+      const RawPair& rp = raw[i];
+      if (rp.reuse >= 0) continue;
+      const NodeSet& n1 = DNbr(rp.e1);
+      const NodeSet& n2 = DNbr(rp.e2);
+      PairingOutcome& out = outcomes[i];
+      bool paired = false;
+      for (int ki : *rp.keys) {
+        PairingResult pr = ComputeMaxPairing(g, compiled_[ki].cp, rp.e1,
+                                             rp.e2, n1, n2, collect, &scratch);
+        if (!pr.paired) continue;
+        paired = true;
+        if (opts_.use_pairing) {
+          out.r1.UnionWith(pr.reduced1);
+          out.r2.UnionWith(pr.reduced2);
+        }
+        if (collect) {
+          // Exact growth: the relation is kept for the plan's lifetime.
+          out.relation.reserve(out.relation.size() + pr.pairs.size() + 1);
+          out.relation.insert(out.relation.end(), pr.pairs.begin(),
+                              pr.pairs.end());
+          out.relation.push_back(PackPair(rp.e1, rp.e2));
+        }
+      }
+      // §4.2: keep only pairable pairs (Prop. 9). Without the filter the
+      // pass ran for the relation alone and L stays unfiltered.
+      out.keep = paired || !opts_.use_pairing;
+      if (collect) {
+        // The fixpoint over the full d-neighbors yields the same relation
+        // as over the reduced sets: those contain every surviving pair.
+        std::sort(out.relation.begin(), out.relation.end());
+        out.relation.erase(
+            std::unique(out.relation.begin(), out.relation.end()),
+            out.relation.end());
+      }
+    }
+  });
+  return outcomes;
+}
+
+void EmContext::AssembleCandidates(const std::vector<RawPair>& raw,
+                                   std::vector<PairingOutcome>& outcomes,
+                                   const EmContext* prev,
+                                   std::vector<uint32_t>* dirty,
+                                   std::vector<int64_t>* reuse) {
+  // Sequential, so candidates stay sorted by (e1, e2) in both builds.
   candidates_.reserve(raw.size());
+  if (feeds_product_graph_) {
+    // Carried pairs keep the default verdict, so this counts exactly the
+    // candidates that will be assembled.
+    relations_.reserve(std::count_if(
+        outcomes.begin(), outcomes.end(),
+        [](const PairingOutcome& out) { return out.keep; }));
+  }
+  if (reuse != nullptr) reuse->reserve(raw.size());
   for (size_t i = 0; i < raw.size(); ++i) {
     const RawPair& rp = raw[i];
     Candidate c;
@@ -404,20 +444,41 @@ void EmContext::BuildCandidates() {
     c.keys = rp.keys;
     c.has_recursive_key = rp.recursive;
     c.has_value_based_key = rp.value_based;
-    if (opts_.use_pairing) {
-      Reduction& red = reductions[i];
-      if (!red.keep) continue;
-      neighbor_nodes_reduced_ += red.r1.size() + red.r2.size();
+    std::shared_ptr<const PairRelation> relation;
+    if (rp.reuse >= 0 && opts_.use_pairing) {
+      // reduced_pool_[2i] / [2i+1] are candidate i's sides, in both the
+      // full and the patched build.
+      const auto& r1 = prev->reduced_pool_[2 * rp.reuse];
+      const auto& r2 = prev->reduced_pool_[2 * rp.reuse + 1];
+      neighbor_nodes_reduced_ += r1->size() + r2->size();
+      reduced_pool_.push_back(r1);
+      c.nbr1 = r1.get();
+      reduced_pool_.push_back(r2);
+      c.nbr2 = r2.get();
+    } else if (rp.reuse < 0 && opts_.use_pairing) {
+      PairingOutcome& out = outcomes[i];
+      if (!out.keep) continue;
+      neighbor_nodes_reduced_ += out.r1.size() + out.r2.size();
       reduced_pool_.push_back(
-          std::make_shared<const NodeSet>(std::move(red.r1)));
+          std::make_shared<const NodeSet>(std::move(out.r1)));
       c.nbr1 = reduced_pool_.back().get();
       reduced_pool_.push_back(
-          std::make_shared<const NodeSet>(std::move(red.r2)));
+          std::make_shared<const NodeSet>(std::move(out.r2)));
       c.nbr2 = reduced_pool_.back().get();
     } else {
       c.nbr1 = &DNbr(rp.e1);
       c.nbr2 = &DNbr(rp.e2);
     }
+    if (feeds_product_graph_) {
+      relations_.push_back(
+          rp.reuse >= 0 ? nullptr
+                        : std::make_shared<const PairRelation>(
+                              std::move(outcomes[i].relation)));
+    }
+    if (rp.reuse < 0 && dirty != nullptr) {
+      dirty->push_back(static_cast<uint32_t>(candidates_.size()));
+    }
+    if (reuse != nullptr) reuse->push_back(rp.reuse);
     candidates_.push_back(std::move(c));
   }
 }
@@ -530,7 +591,10 @@ void EmContext::InvertDependencyIndex() {
 EmContext::EmContext(const EmContext& prev,
                      std::span<const NodeId> dirty_nodes,
                      ContextPatchInfo* info)
-    : g_(prev.g_), keys_(prev.keys_), opts_(prev.opts_) {
+    : g_(prev.g_),
+      keys_(prev.keys_),
+      opts_(prev.opts_),
+      feeds_product_graph_(prev.feeds_product_graph_) {
   const Graph& g = *g_;
   // Spawning worker threads costs ~100µs each — real money against a
   // sub-millisecond patch. Parallel phases below fall back to inline
@@ -667,12 +731,6 @@ EmContext::EmContext(const EmContext& prev,
     prev_by_type[g.entity_type(prev.candidates_[i].e1)].push_back(i);
   }
 
-  struct RawPair {
-    NodeId e1, e2;
-    const std::vector<int>* keys;
-    bool recursive, value_based;
-    int64_t reuse;  // previous candidate index, or -1 = recompute (dirty)
-  };
   std::vector<RawPair> raw;
   std::unordered_set<uint64_t> seen;
   for (const auto& [type, key_ids] : keys_by_type_) {
@@ -862,96 +920,20 @@ EmContext::EmContext(const EmContext& prev,
   section.Reset();
 
   // Phase C': pairing fixpoint only for the dirty pairs.
-  struct Reduction {
-    bool keep = true;
-    NodeSet r1, r2;
-  };
-  std::vector<Reduction> reductions(opts_.use_pairing ? raw.size() : 0);
-  if (opts_.use_pairing) {
-    size_t dirty_pairs = 0;
-    for (const RawPair& rp : raw) dirty_pairs += rp.reuse < 0 ? 1 : 0;
-    const int pc = workers(dirty_pairs);
-    std::vector<PairingScratch> scratches(pc);
-    ParallelShards(pc, raw.size(), [&](int shard, size_t begin, size_t end) {
-      PairingScratch& scratch = scratches[shard];
-      for (size_t i = begin; i < end; ++i) {
-        const RawPair& rp = raw[i];
-        if (rp.reuse >= 0) continue;
-        const NodeSet& n1 = DNbr(rp.e1);
-        const NodeSet& n2 = DNbr(rp.e2);
-        Reduction& red = reductions[i];
-        red.keep = false;
-        for (int ki : *rp.keys) {
-          PairingResult pr =
-              ComputeMaxPairing(g, compiled_[ki].cp, rp.e1, rp.e2, n1, n2,
-                                /*collect_pairs=*/false, &scratch);
-          if (pr.paired) {
-            red.keep = true;
-            red.r1.UnionWith(pr.reduced1);
-            red.r2.UnionWith(pr.reduced2);
-          }
-        }
-      }
-    });
-  }
-
+  size_t dirty_pairs = 0;
+  for (const RawPair& rp : raw) dirty_pairs += rp.reuse < 0 ? 1 : 0;
+  std::vector<PairingOutcome> outcomes =
+      PairRawCandidates(raw, workers(dirty_pairs));
   if (info != nullptr) info->pairing_seconds = section.Seconds();
   section.Reset();
 
   // Assembly: reused pairs share the previous reduced sets; dirty pairs
-  // get fresh ones. Candidates stay sorted by (e1, e2) as in a full
-  // compile.
-  candidates_.reserve(raw.size());
+  // get fresh ones.
   std::vector<uint32_t> dirty_candidates;
   std::vector<int64_t> candidate_reuse;
-  candidate_reuse.reserve(raw.size());
-  size_t reused = 0;
-  for (size_t i = 0; i < raw.size(); ++i) {
-    const RawPair& rp = raw[i];
-    Candidate c;
-    c.e1 = rp.e1;
-    c.e2 = rp.e2;
-    c.keys = rp.keys;
-    c.has_recursive_key = rp.recursive;
-    c.has_value_based_key = rp.value_based;
-    if (rp.reuse >= 0) {
-      ++reused;
-      if (opts_.use_pairing) {
-        // reduced_pool_[2i] / [2i+1] are candidate i's sides, in both
-        // the full and the patched build.
-        const auto& r1 = prev.reduced_pool_[2 * rp.reuse];
-        const auto& r2 = prev.reduced_pool_[2 * rp.reuse + 1];
-        neighbor_nodes_reduced_ += r1->size() + r2->size();
-        reduced_pool_.push_back(r1);
-        c.nbr1 = r1.get();
-        reduced_pool_.push_back(r2);
-        c.nbr2 = r2.get();
-      } else {
-        c.nbr1 = &DNbr(rp.e1);
-        c.nbr2 = &DNbr(rp.e2);
-      }
-      candidate_reuse.push_back(rp.reuse);
-      candidates_.push_back(std::move(c));
-      continue;
-    }
-    if (opts_.use_pairing) {
-      Reduction& red = reductions[i];
-      if (!red.keep) continue;
-      neighbor_nodes_reduced_ += red.r1.size() + red.r2.size();
-      reduced_pool_.push_back(
-          std::make_shared<const NodeSet>(std::move(red.r1)));
-      c.nbr1 = reduced_pool_.back().get();
-      reduced_pool_.push_back(
-          std::make_shared<const NodeSet>(std::move(red.r2)));
-      c.nbr2 = reduced_pool_.back().get();
-    } else {
-      c.nbr1 = &DNbr(rp.e1);
-      c.nbr2 = &DNbr(rp.e2);
-    }
-    dirty_candidates.push_back(static_cast<uint32_t>(candidates_.size()));
-    candidate_reuse.push_back(-1);
-    candidates_.push_back(std::move(c));
-  }
+  AssembleCandidates(raw, outcomes, &prev, &dirty_candidates,
+                     &candidate_reuse);
+  const size_t reused = candidates_.size() - dirty_candidates.size();
 
   // The dependency index and ghosts are candidate-index-relative; rebuild
   // them over the new L, copying the neighbor-ball scans of every
@@ -975,6 +957,9 @@ size_t EmContext::MemoryBytes() const {
       compiled_.capacity() * sizeof(CompiledKey) +
       dneighbor_sets_.capacity() * sizeof(std::shared_ptr<const NodeSet>) +
       reduced_pool_.capacity() * sizeof(std::shared_ptr<const NodeSet>) +
+      // Relation payloads are shared with the product graph, which counts
+      // them (ProductGraph::MemoryBytes); only the handles are ours.
+      relations_.capacity() * sizeof(std::shared_ptr<const PairRelation>) +
       dependents_.capacity() * sizeof(std::vector<uint32_t>) +
       ghosts_.capacity() * sizeof(GhostPair);
   for (const auto& s : dneighbor_sets_) {

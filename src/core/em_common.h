@@ -481,6 +481,13 @@ struct Candidate {
   bool has_value_based_key = false;
 };
 
+/// A candidate's maximum pairing relation unioned over its keys, as
+/// packed pairs (PackPair), ascending and deduplicated. It contains the
+/// candidate pair (e1, e2) itself whenever some key pairs, so an empty
+/// relation means "unpairable by every key". The product graph's node
+/// set Vp (paper §5.1) is the union of these.
+using PairRelation = std::vector<uint64_t>;
+
 /// A key compiled against the target graph, with its EMVC traversal order.
 struct CompiledKey {
   const Key* key = nullptr;
@@ -522,8 +529,14 @@ struct ContextPatchInfo {
 /// pairing-reduced), d-neighbors, and the entity-dependency index of §4.2.
 class EmContext {
  public:
-  /// Builds the context. `g` must be finalized.
-  EmContext(const Graph& g, const KeySet& keys, const EmOptions& opts);
+  /// Builds the context. `g` must be finalized. With
+  /// `feeds_product_graph` the pairing pass also keeps every candidate's
+  /// union-over-keys relation (relations()) for BuildProductGraph — it
+  /// runs pairing then even without opts.use_pairing, without filtering
+  /// L. Contexts that never feed a product graph (the MapReduce family,
+  /// the chase) leave it off and hold no relations.
+  EmContext(const Graph& g, const KeySet& keys, const EmOptions& opts,
+            bool feeds_product_graph = false);
 
   /// Incremental rebuild: compiles the same key set against `prev`'s
   /// graph AFTER a delta was applied to it (Graph::Apply), recompiling
@@ -535,6 +548,9 @@ class EmContext {
   /// are rebuilt (they are candidate-index-relative and cheap at |L|
   /// scale). `prev` must outlive nothing — the new context is
   /// self-contained apart from the shared immutable NodeSet payloads.
+  /// It feeds a product graph iff `prev` does; then only the dirty
+  /// candidates get relations (the carried ones keep theirs in the source
+  /// plan's product graph, which PatchProductGraph re-shares).
   ///
   /// The enumeration counters (candidates_initial/blocked) cover only the
   /// re-enumerated types; reused types carry their surviving candidates
@@ -553,6 +569,15 @@ class EmContext {
   /// The candidate list L (after optional pairing reduction).
   const std::vector<Candidate>& candidates() const { return candidates_; }
   size_t candidates_initial() const { return candidates_initial_; }
+
+  /// Per candidate, its union-over-keys pairing relation, computed by the
+  /// same pass that filters L (one fixpoint per (candidate, key)). Empty
+  /// unless the context feeds a product graph; in a patched context the
+  /// entries of carried-over candidates are null. Shared with the product
+  /// graph.
+  const std::vector<std::shared_ptr<const PairRelation>>& relations() const {
+    return relations_;
+  }
   /// Same-type pairs signature blocking kept out of the enumeration.
   size_t candidates_blocked() const { return candidates_blocked_; }
 
@@ -648,9 +673,11 @@ class EmContext {
   /// keys (cheap and deterministic), leaving every other member empty for
   /// storage::PlanCodec to fill from snapshot records instead of running
   /// the expensive build phases (d-neighbors, enumeration, pairing,
-  /// dependency scan).
+  /// dependency scan). The relations are not restored: a loaded plan's
+  /// product graph holds them, and a later patch computes only the dirty
+  /// candidates' ones.
   EmContext(DeserializeShell, const Graph& g, const KeySet& keys,
-            const EmOptions& opts);
+            const EmOptions& opts, bool feeds_product_graph);
 
   static constexpr uint32_t kNoSlot = UINT32_MAX;
 
@@ -731,7 +758,46 @@ class EmContext {
     std::vector<SigPerKey> keys;
   };
 
+  /// A same-type keyed pair enumerated for L, before pairing. A patch
+  /// sets `reuse` to the source plan's index of a carried-over candidate
+  /// (its pairing outcome is reused); -1 means "pair it".
+  struct RawPair {
+    NodeId e1, e2;
+    const std::vector<int>* keys;
+    bool recursive, value_based;
+    int64_t reuse = -1;
+  };
+
+  /// What the pairing pass learned about one raw pair: whether it stays
+  /// in L (§4.2, Prop. 9: only pairable pairs, when use_pairing), its
+  /// pairing-reduced neighbor sets, and — when the context feeds a
+  /// product graph — its union-over-keys relation.
+  struct PairingOutcome {
+    bool keep = true;
+    NodeSet r1, r2;
+    PairRelation relation;
+  };
+
   void BuildCandidates();
+
+  /// Phase C, shared by the full and the patch build: runs each raw
+  /// pair's per-key pairing fixpoint once (pairs with reuse >= 0 are
+  /// skipped), over `workers` shards with one PairingScratch each.
+  /// Returns one outcome per raw pair, or nothing when neither the filter
+  /// nor a product graph needs pairing.
+  std::vector<PairingOutcome> PairRawCandidates(const std::vector<RawPair>& raw,
+                                                int workers) const;
+
+  /// Appends the raw pairs that survive pairing to candidates_, in order.
+  /// Pairs carried over from `prev` share its reduced sets; the others
+  /// take theirs (and their relation) from `outcomes`. Fills `dirty` with
+  /// the indices of the non-carried candidates and `reuse` with every
+  /// candidate's source index (-1 = not carried); both may be null.
+  void AssembleCandidates(const std::vector<RawPair>& raw,
+                          std::vector<PairingOutcome>& outcomes,
+                          const EmContext* prev,
+                          std::vector<uint32_t>* dirty,
+                          std::vector<int64_t>* reuse);
 
   /// Builds the §4.2 dependency index (dependents_/ghosts_) from the
   /// per-candidate depended-on pair scans. When patching, candidates
@@ -776,6 +842,7 @@ class EmContext {
   const Graph* g_;
   const KeySet* keys_;
   EmOptions opts_;
+  bool feeds_product_graph_ = false;
   std::vector<CompiledKey> compiled_;
   std::unordered_map<Symbol, std::vector<int>> keys_by_type_;
   std::unordered_map<Symbol, int> radius_by_type_;
@@ -790,6 +857,8 @@ class EmContext {
   std::vector<uint32_t> dneighbor_slot_;
   std::vector<std::shared_ptr<const NodeSet>> dneighbor_sets_;
   std::vector<std::shared_ptr<const NodeSet>> reduced_pool_;
+  // Per candidate: its pairing relation (feeds_product_graph_ only).
+  std::vector<std::shared_ptr<const PairRelation>> relations_;
   // Signature index per keyed type (use_blocking only); shared with the
   // source plan for types the delta did not touch.
   std::unordered_map<Symbol, std::shared_ptr<const SigIndex>> sig_index_;

@@ -269,7 +269,7 @@ struct VcRun {
 MatchResult RunEmVertexCentric(const Graph& g, const KeySet& keys,
                                const EmOptions& options) {
   Timer prep;
-  EmContext ctx(g, keys, options);
+  EmContext ctx(g, keys, options, /*feeds_product_graph=*/true);
   MatchResult result = RunEmVertexCentric(ctx);
   result.stats.prep_seconds = prep.Seconds() - result.stats.run_seconds;
   return result;

@@ -33,7 +33,8 @@ namespace gkeys {
 MatchResult RunEmVertexCentric(const Graph& g, const KeySet& keys,
                                const EmOptions& options);
 
-/// Same, with a pre-built context (benchmarks separate preprocessing).
+/// Same, with a pre-built context (benchmarks separate preprocessing);
+/// `ctx` must be built with feeds_product_graph (see EmContext).
 MatchResult RunEmVertexCentric(const EmContext& ctx);
 
 /// Plan-layer entry point: executes EMVC over a pre-built context and

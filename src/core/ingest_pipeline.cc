@@ -245,8 +245,9 @@ IngestStats RunIngestPipeline(const Matcher& matcher,
 
     if (!group_bound) {
       // One batch is malformed, or the group depends on its own earlier
-      // batches (e.g. removes what they added) — replay per batch so the
-      // committed prefix and the reported error are exactly serial.
+      // batches (removes what they added, re-adds what they removed) —
+      // replay per batch so the committed graph, the committed prefix and
+      // the reported error are exactly serial.
       for (ParsedBatch& batch : group) {
         engine_status = commit_one(batch);
         if (!engine_status.ok()) break;

@@ -71,16 +71,13 @@ StatusOr<MatchPlan> MatchPlan::Patch(const GraphDelta& delta) const {
   ContextPatchInfo info;
   std::shared_ptr<MatchPlan::Rep> rep(new MatchPlan::Rep(
       rep_->ctx, *rep_->keys, rep_->options, dirty, &info));
-  if (rep_->options.build_product_graph) {
+  if (rep_->pg.has_value()) {
     // Gp is patched at |L| scale: carried-over candidates replay their
-    // cached pairing relations; only dirty ones re-run the fixpoint.
+    // cached pairing relations; dirty ones bring the relations the
+    // patched context's pairing pass computed.
     Timer pg_timer;
-    if (rep_->pg.has_value()) {
-      rep->pg.emplace(PatchProductGraph(*rep_->pg, rep->ctx,
-                                        info.candidate_reuse, dirty));
-    } else {
-      rep->pg.emplace(BuildProductGraph(rep->ctx));
-    }
+    rep->pg.emplace(PatchProductGraph(*rep_->pg, rep->ctx,
+                                      info.candidate_reuse, dirty));
     info.product_graph_seconds = pg_timer.Seconds();
   }
   rep->patched = true;

@@ -20,9 +20,11 @@ namespace gkeys {
 /// bounded messages, prioritization, VF2, …) live on Matcher instead, so
 /// one compiled plan serves many differently-configured runs.
 struct PlanOptions {
-  /// Worker threads used while compiling the plan (d-neighbors, pairing,
-  /// dependency index are all built in parallel). Purely a compile-time
-  /// resource choice; it does not constrain later runs.
+  /// Worker threads used while compiling the plan: d-neighbors, the
+  /// pairing pass, the dependency index and the product graph's edge pass
+  /// are all built in parallel (Gp nodes are interned serially, so the
+  /// plan is identical for every count). Purely a compile-time resource
+  /// choice; it does not constrain later runs.
   int processors = 1;
 
   /// §4.2 / Prop. 9: filter the candidate list L down to pairable pairs
@@ -40,7 +42,9 @@ struct PlanOptions {
 
   /// Build the product-graph skeleton Gp (§5.1) at compile time. Required
   /// to run the EMVC family from this plan; the MapReduce family and the
-  /// naive chase ignore it.
+  /// naive chase ignore it. The pairing pass then also keeps each
+  /// candidate's pairing relation for Gp (and runs even without
+  /// use_pairing, then without filtering); plans without Gp hold none.
   bool build_product_graph = true;
 
   /// The compilation preset matching a paper algorithm: pairing per the
@@ -205,7 +209,9 @@ class MatchPlan {
   struct Rep {
     Rep(const Graph& g, const KeySet& k, const PlanOptions& popts,
         const EmOptions& eopts)
-        : keys(&k), options(popts), ctx(g, k, eopts) {}
+        : keys(&k),
+          options(popts),
+          ctx(g, k, eopts, popts.build_product_graph) {}
 
     // Patch: incremental rebuild sharing untouched state with `prev`.
     Rep(const EmContext& prev, const KeySet& k, const PlanOptions& popts,
@@ -213,10 +219,14 @@ class MatchPlan {
         : keys(&k), options(popts), ctx(prev, dirty_nodes, info) {}
 
     // Deserialization shell (storage::PlanCodec): the context binds
-    // graph/keys and compiles the keys; the codec restores the rest.
+    // graph/keys and compiles the keys; the codec restores the rest. The
+    // context feeds a product graph iff the snapshot restores one.
     Rep(EmContext::DeserializeShell shell, const Graph& g, const KeySet& k,
-        const PlanOptions& popts, const EmOptions& eopts)
-        : keys(&k), options(popts), ctx(shell, g, k, eopts) {}
+        const PlanOptions& popts, const EmOptions& eopts,
+        bool has_product_graph)
+        : keys(&k),
+          options(popts),
+          ctx(shell, g, k, eopts, has_product_graph) {}
 
     const KeySet* keys;
     PlanOptions options;

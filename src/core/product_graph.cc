@@ -1,7 +1,9 @@
 #include "core/product_graph.h"
 
 #include <algorithm>
+#include <cassert>
 
+#include "common/thread_pool.h"
 #include "isomorph/pairing.h"
 
 namespace gkeys {
@@ -37,36 +39,10 @@ size_t ProductGraph::MemoryBytes() const {
     if (pairs != nullptr) bytes += pairs->capacity() * sizeof(uint64_t);
   }
   bytes += candidate_pairs_.capacity() *
-               sizeof(std::shared_ptr<const Relation>) +
+               sizeof(std::shared_ptr<const PairRelation>) +
            node_refs_.capacity() * sizeof(uint32_t);
   return bytes;
 }
-
-namespace {
-
-/// The pairing relation of candidate `c`, unioned over its keys, as
-/// packed deduplicated pairs. Includes (e1, e2) itself whenever some key
-/// pairs (the relation always contains the candidate pair then), so
-/// "empty" doubles as "unpairable by every key".
-std::vector<uint64_t> CollectCandidatePairs(const EmContext& ctx,
-                                            const Candidate& c,
-                                            PairingScratch* scratch) {
-  std::vector<uint64_t> pairs;
-  for (int ki : *c.keys) {
-    PairingResult pr =
-        ComputeMaxPairing(ctx.graph(), ctx.compiled_keys()[ki].cp, c.e1,
-                          c.e2, *c.nbr1, *c.nbr2, /*collect_pairs=*/true,
-                          scratch);
-    if (!pr.paired) continue;
-    pairs.insert(pairs.end(), pr.pairs.begin(), pr.pairs.end());
-    pairs.push_back(PackPair(c.e1, c.e2));
-  }
-  std::sort(pairs.begin(), pairs.end());
-  pairs.erase(std::unique(pairs.begin(), pairs.end()), pairs.end());
-  return pairs;
-}
-
-}  // namespace
 
 void ProductGraph::AddNodeRef(ProductGraph& pg, uint64_t packed) {
   auto [it, inserted] =
@@ -90,48 +66,72 @@ void ProductGraph::ResolveCandidateNodes(const EmContext& ctx,
   }
 }
 
-void ProductGraph::Finish(const EmContext& ctx, ProductGraph& pg) {
-  const Graph& g = ctx.graph();
-  ResolveCandidateNodes(ctx, pg);
-
+void ProductGraph::ComputeOut(const Graph& g, uint32_t v,
+                              std::vector<PEdge>* out) const {
   // Ep: ((s1, s2), p, (o1, o2)) iff (s1, p, o1) ∈ G and (s2, p, o2) ∈ G.
-  pg.out_.assign(pg.nodes_.size(), {});
-  pg.in_.assign(pg.nodes_.size(), {});
-  pg.out_count_.assign(pg.nodes_.size(), {});
-  pg.in_count_.assign(pg.nodes_.size(), {});
-  for (uint32_t v = 0; v < pg.nodes_.size(); ++v) {
-    auto [a, b] = pg.nodes_[v];
-    if (!g.IsEntity(a) || !g.IsEntity(b)) continue;
-    for (const Edge& ea : g.Out(a)) {
-      for (const Edge& eb : g.Out(b)) {
-        if (ea.pred != eb.pred) continue;
-        uint32_t dst = pg.Find(ea.dst, eb.dst);
-        if (dst == kNoPNode) continue;
-        pg.out_[v].push_back(ProductGraph::PEdge{ea.pred, dst});
-        pg.in_[dst].push_back(ProductGraph::PEdge{ea.pred, v});
-        ++pg.out_count_[v][ea.pred];
-        ++pg.in_count_[dst][ea.pred];
-        ++pg.num_edges_;
-      }
+  auto [a, b] = nodes_[v];
+  if (!g.IsEntity(a) || !g.IsEntity(b)) return;
+  for (const Edge& ea : g.Out(a)) {
+    for (const Edge& eb : g.Out(b)) {
+      if (ea.pred != eb.pred) continue;
+      uint32_t dst = Find(ea.dst, eb.dst);
+      if (dst == kNoPNode) continue;
+      out->push_back(PEdge{ea.pred, dst});
     }
   }
 }
 
+void ProductGraph::DeriveInSide(ProductGraph& pg, int workers) {
+  const size_t n = pg.nodes_.size();
+  pg.in_.assign(n, {});
+  pg.out_count_.assign(n, {});
+  pg.in_count_.assign(n, {});
+  // Each shard owns a contiguous range of nodes: it counts their
+  // out-edges, and collects their in-edges by scanning every out-list in
+  // node order — so in-lists and counts come out the same for any shard
+  // count, and no two shards write the same node.
+  ParallelShards(workers, n, [&pg, n](int, size_t begin, size_t end) {
+    for (size_t v = begin; v < end; ++v) {
+      for (const PEdge& e : pg.out_[v]) ++pg.out_count_[v][e.pred];
+    }
+    for (uint32_t v = 0; v < n; ++v) {
+      for (const PEdge& e : pg.out_[v]) {
+        if (e.dst < begin || e.dst >= end) continue;
+        pg.in_[e.dst].push_back(PEdge{e.pred, v});
+        ++pg.in_count_[e.dst][e.pred];
+      }
+    }
+  });
+  pg.num_edges_ = 0;
+  for (const auto& adj : pg.out_) pg.num_edges_ += adj.size();
+}
+
+void ProductGraph::Finish(const EmContext& ctx, ProductGraph& pg) {
+  ResolveCandidateNodes(ctx, pg);
+  // Each node's out-list depends only on G and the (now fixed) node
+  // index, so nodes are independent; inline below the thread-spawn
+  // break-even point.
+  const size_t n = pg.nodes_.size();
+  const int workers = n < 256 ? 1 : std::max(1, ctx.options().processors);
+  pg.out_.assign(n, {});
+  ParallelFor(workers, n, [&](size_t v) {
+    pg.ComputeOut(ctx.graph(), static_cast<uint32_t>(v), &pg.out_[v]);
+  });
+  DeriveInSide(pg, workers);
+}
+
 ProductGraph BuildProductGraph(const EmContext& ctx) {
-  ProductGraph pg;
   // Vp: every pair surviving in the maximum pairing relation of some key
-  // at some candidate (paper §5.1). One scratch serves the whole build.
-  // The per-candidate relations are kept (candidate_pairs_, shared) and
-  // each node's supporting-relation count (node_refs_) so a later
-  // MatchPlan::Patch replays clean candidates and retires dirty ones
-  // instead of rediscovering Vp.
-  PairingScratch scratch;
-  pg.candidate_pairs_.resize(ctx.candidates().size());
-  for (uint32_t i = 0; i < ctx.candidates().size(); ++i) {
-    auto rel = std::make_shared<ProductGraph::Relation>(
-        CollectCandidatePairs(ctx, ctx.candidates()[i], &scratch));
+  // at some candidate (paper §5.1) — the relations the context's pairing
+  // pass computed. They are kept (candidate_pairs_, shared with the
+  // context) together with each node's supporting-relation count
+  // (node_refs_), so a later MatchPlan::Patch replays clean candidates
+  // and retires dirty ones instead of rediscovering Vp.
+  assert(ctx.relations().size() == ctx.candidates().size());
+  ProductGraph pg;
+  pg.candidate_pairs_ = ctx.relations();
+  for (const auto& rel : pg.candidate_pairs_) {
     for (uint64_t p : *rel) ProductGraph::AddNodeRef(pg, p);
-    pg.candidate_pairs_[i] = std::move(rel);
   }
   ProductGraph::Finish(ctx, pg);
   return pg;
@@ -144,9 +144,10 @@ ProductGraph PatchProductGraph(const ProductGraph& prev,
   const Graph& g = ctx.graph();
   ProductGraph pg;
   // Node phase: start from the previous node set and retire the
-  // contributions of candidates that are gone or re-paired; only dirty
-  // candidates run the pairing fixpoint again. Carried-over candidates
-  // re-share their relations (reference counts inherited unchanged).
+  // contributions of candidates that are gone or re-paired; dirty
+  // candidates contribute the relations the patched context's pairing
+  // pass computed. Carried-over candidates re-share their relations
+  // (reference counts inherited unchanged).
   pg.nodes_ = prev.nodes_;
   pg.index_ = prev.index_;
   pg.node_refs_ = prev.node_refs_;
@@ -155,13 +156,12 @@ ProductGraph PatchProductGraph(const ProductGraph& prev,
   for (int64_t from : candidate_reuse) {
     if (from >= 0) carried[from] = 1;
   }
-  auto retire = [&pg](const ProductGraph::Relation& rel) {
+  auto retire = [&pg](const PairRelation& rel) {
     for (uint64_t p : rel) --pg.node_refs_[pg.index_.at(p)];
   };
   for (uint32_t i = 0; i < prev.candidate_pairs_.size(); ++i) {
     if (!carried[i]) retire(*prev.candidate_pairs_[i]);
   }
-  PairingScratch scratch;
   pg.candidate_pairs_.resize(ctx.candidates().size());
   for (uint32_t i = 0; i < ctx.candidates().size(); ++i) {
     int64_t from = i < candidate_reuse.size() ? candidate_reuse[i] : -1;
@@ -169,10 +169,10 @@ ProductGraph PatchProductGraph(const ProductGraph& prev,
       pg.candidate_pairs_[i] = prev.candidate_pairs_[from];
       continue;
     }
-    auto rel = std::make_shared<ProductGraph::Relation>(
-        CollectCandidatePairs(ctx, ctx.candidates()[i], &scratch));
-    for (uint64_t p : *rel) ProductGraph::AddNodeRef(pg, p);
-    pg.candidate_pairs_[i] = std::move(rel);
+    pg.candidate_pairs_[i] = ctx.relations()[i];
+    for (uint64_t p : *pg.candidate_pairs_[i]) {
+      ProductGraph::AddNodeRef(pg, p);
+    }
   }
   // Compact away nodes no relation supports anymore (removals and
   // re-paired candidates shrink Vp), keeping the prev-id → new-id map
@@ -235,26 +235,19 @@ ProductGraph PatchProductGraph(const ProductGraph& prev,
     }
   }
   pg.out_.assign(num_nodes, {});
-  for (uint32_t v = 0; v < num_nodes; ++v) {
-    auto [a, b] = pg.nodes_[v];
+  const int workers =
+      num_nodes < 256 ? 1 : std::max(1, ctx.options().processors);
+  ParallelFor(workers, num_nodes, [&](size_t v) {
     if (recompute[v] != 0) {
-      if (!g.IsEntity(a) || !g.IsEntity(b)) continue;
-      for (const Edge& ea : g.Out(a)) {
-        for (const Edge& eb : g.Out(b)) {
-          if (ea.pred != eb.pred) continue;
-          uint32_t dst = pg.Find(ea.dst, eb.dst);
-          if (dst == kNoPNode) continue;
-          pg.out_[v].push_back(ProductGraph::PEdge{ea.pred, dst});
-        }
-      }
-      continue;
+      pg.ComputeOut(g, static_cast<uint32_t>(v), &pg.out_[v]);
+      return;
     }
     for (const ProductGraph::PEdge& e : prev.out_[prev_of[v]]) {
       uint32_t dst = prev_to_new[e.dst];
       if (dst == kNoPNode) continue;
       pg.out_[v].push_back(ProductGraph::PEdge{e.pred, dst});
     }
-  }
+  });
   // Edges from clean sources into brand-new nodes (the copy above cannot
   // contain them — the target did not exist).
   for (uint32_t w : fresh_nodes) {
@@ -268,17 +261,7 @@ ProductGraph PatchProductGraph(const ProductGraph& prev,
       }
     }
   }
-  pg.in_.assign(num_nodes, {});
-  pg.out_count_.assign(num_nodes, {});
-  pg.in_count_.assign(num_nodes, {});
-  for (uint32_t v = 0; v < num_nodes; ++v) {
-    for (const ProductGraph::PEdge& e : pg.out_[v]) {
-      pg.in_[e.dst].push_back(ProductGraph::PEdge{e.pred, v});
-      ++pg.out_count_[v][e.pred];
-      ++pg.in_count_[e.dst][e.pred];
-      ++pg.num_edges_;
-    }
-  }
+  ProductGraph::DeriveInSide(pg, workers);
   ProductGraph::ResolveCandidateNodes(ctx, pg);
   return pg;
 }

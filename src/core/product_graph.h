@@ -58,6 +58,12 @@ class ProductGraph {
   uint32_t OutCount(uint32_t v, Symbol pred) const;
   uint32_t InCount(uint32_t v, Symbol pred) const;
 
+  /// The union-over-keys pairing relation of candidate i (the packed
+  /// pairs it contributes to Vp); empty when no key pairs it.
+  const PairRelation& CandidateRelation(uint32_t candidate) const {
+    return *candidate_pairs_[candidate];
+  }
+
   /// Approximate heap footprint in bytes (bytes-per-plan accounting).
   size_t MemoryBytes() const;
 
@@ -71,8 +77,6 @@ class ProductGraph {
   // then replays Finish() to rebuild the derived adjacency.
   friend class storage::PlanCodec;
 
-  using Relation = std::vector<uint64_t>;
-
   /// Interns the product node for a packed pair and bumps its
   /// supporting-relation count (shared by the full and patched builds).
   static void AddNodeRef(ProductGraph& pg, uint64_t packed);
@@ -81,9 +85,21 @@ class ProductGraph {
   /// nonempty relation always contains the candidate pair itself).
   static void ResolveCandidateNodes(const EmContext& ctx, ProductGraph& pg);
 
+  /// Appends to `out` the Ep edges leaving product node `v` in `g`:
+  /// ((a, b), p, (o1, o2)) for every (a, p, o1), (b, p, o2) ∈ G whose
+  /// target pair is a product node. Read-only, so the edge passes call it
+  /// for many nodes concurrently.
+  void ComputeOut(const Graph& g, uint32_t v, std::vector<PEdge>* out) const;
+
+  /// Derives in_, the prioritization counts and num_edges_ from out_ on
+  /// `workers` threads. In-lists list their sources in node order, as a
+  /// serial pass over out_ would, for any worker count.
+  static void DeriveInSide(ProductGraph& pg, int workers);
+
   /// Resolves candidate_nodes_ and runs the full edge pass (tail of the
-  /// from-scratch build; the patched build has its own incremental edge
-  /// pass).
+  /// from-scratch build and of a snapshot load; the patched build has its
+  /// own incremental edge pass): out-lists in parallel over nodes, on up
+  /// to the context's processors, then DeriveInSide on as many.
   static void Finish(const EmContext& ctx, ProductGraph& pg);
 
   std::vector<std::pair<NodeId, NodeId>> nodes_;
@@ -93,11 +109,11 @@ class ProductGraph {
   std::vector<uint32_t> candidate_nodes_;
   std::vector<std::unordered_map<Symbol, uint32_t>> out_count_;
   std::vector<std::unordered_map<Symbol, uint32_t>> in_count_;
-  // Per candidate, its union-over-keys pairing relation as packed pairs
-  // (the node-discovery phase's raw output), shared across plan
-  // generations. PatchProductGraph re-shares carried-over candidates'
-  // relations instead of re-running their pairing fixpoints.
-  std::vector<std::shared_ptr<const Relation>> candidate_pairs_;
+  // Per candidate, its union-over-keys pairing relation as packed pairs,
+  // shared with the EmContext whose pairing pass computed it and across
+  // plan generations. PatchProductGraph re-shares carried-over
+  // candidates' relations.
+  std::vector<std::shared_ptr<const PairRelation>> candidate_pairs_;
   // Per product node: how many candidate relations contain it. Lets a
   // patch retire the contributions of dropped/re-paired candidates and
   // keep only supported nodes, without rediscovering Vp from scratch.
@@ -105,19 +121,23 @@ class ProductGraph {
   size_t num_edges_ = 0;
 };
 
-/// Builds Gp from the context's candidates by re-running the pairing
-/// fixpoint per (candidate, key) and collecting every surviving pair.
+/// Builds Gp from the relations the context's pairing pass already
+/// computed (`ctx` must feed a product graph, see EmContext): no pairing
+/// fixpoint runs here. Nodes are interned serially in candidate order, so
+/// node ids and adjacency order are deterministic for any processor
+/// count; the edge pass runs in parallel over nodes.
 ProductGraph BuildProductGraph(const EmContext& ctx);
 
 /// Incremental rebuild for a patched context: candidates carried over
 /// from the source plan (candidate_reuse[i] >= 0) re-share their cached
-/// pairing relations from `prev`; only the dirty candidates re-run the
-/// pairing fixpoint, and retired contributions are reference-counted
-/// away. The edge pass recomputes only product nodes that are new or
-/// touch a graph node in `graph_dirty` (the delta's touched set); every
-/// other node's adjacency is copied from `prev` and extended with edges
-/// into the new nodes. Product-node ids may differ from a from-scratch
-/// build; Gp semantics do not depend on them.
+/// pairing relations from `prev`; the dirty candidates take the
+/// relations the patched context's pairing pass computed, and retired
+/// contributions are reference-counted away. The edge pass recomputes
+/// only product nodes that are new or touch a graph node in
+/// `graph_dirty` (the delta's touched set); every other node's adjacency
+/// is copied from `prev` and extended with edges into the new nodes.
+/// Product-node ids may differ from a from-scratch build; Gp semantics
+/// do not depend on them.
 ProductGraph PatchProductGraph(const ProductGraph& prev,
                                const EmContext& ctx,
                                const std::vector<int64_t>& candidate_reuse,

@@ -248,7 +248,27 @@ DeltaBinder::DeltaBinder(
     const std::unordered_map<std::string, NodeId>& base_entities)
     : g_(g), base_(base_entities), delta_(g) {}
 
+void DeltaBinder::IndexEarlierOps() {
+  auto index = [this](const std::vector<GraphDelta::DeltaTriple>& ops,
+                      size_t* indexed, uint8_t held) {
+    for (; *indexed < ops.size(); ++*indexed) {
+      const GraphDelta::DeltaTriple& t = ops[*indexed];
+      auto pred = preds_.find(t.pred);
+      if (pred == preds_.end()) {
+        pred = preds_.emplace(t.pred, static_cast<uint32_t>(preds_.size()))
+                   .first;
+      }
+      earlier_ops_[OpKey{t.subject, pred->second, t.object}] |= held;
+    }
+  };
+  index(delta_.added(), &indexed_added_, kHeldAdd);
+  index(delta_.removed(), &indexed_removed_, kHeldRemove);
+}
+
 Status DeltaBinder::Append(const TokenizedText& tokens) {
+  // Everything bound so far came from earlier batches of the group; a
+  // batch conflicts only with those, never with its own lines.
+  IndexEarlierOps();
   // overlay_ holds the tokens this group of batches introduced: an
   // overlay instead of the scalar path's full copy of base_entities, so
   // one batch costs O(batch). Overlay and base are disjoint (a token
@@ -294,6 +314,22 @@ Status DeltaBinder::Append(const TokenizedText& tokens) {
     if (!s.ok()) return s.status();
     auto o = resolve(ln.obj);
     if (!o.ok()) return o.status();
+    if (!earlier_ops_.empty()) {
+      auto pred = preds_.find(ln.pred);
+      if (pred != preds_.end()) {
+        auto held = earlier_ops_.find(OpKey{*s, pred->second, *o});
+        // A remove conflicts with any earlier op on the triple (re-added
+        // or already removed); an add only with an earlier remove.
+        if (held != earlier_ops_.end() &&
+            (held->second & (adding ? kHeldRemove : kHeldAdd | kHeldRemove))) {
+          return Status::FailedPrecondition(
+              "delta line " + std::to_string(ln.line_no) + ": " +
+              (adding ? "adds" : "removes") + " a triple an earlier batch "
+              "of the group " + (held->second & kHeldRemove ? "removes"
+                                                            : "adds"));
+        }
+      }
+    }
     Status st = adding ? delta_.AddTriple(*s, ln.pred, *o)
                        : delta_.RemoveTriple(*s, ln.pred, *o);
     if (!st.ok()) {

@@ -6,6 +6,7 @@
 #include <unordered_map>
 #include <vector>
 
+#include "common/hash.h"
 #include "common/status.h"
 #include "graph/delta.h"
 #include "graph/graph.h"
@@ -123,11 +124,18 @@ StatusOr<GraphDelta> BindDeltaText(
 /// Binding batches B1..Bk through one binder is equivalent to binding
 /// their concatenation as a single delta text, except that error messages
 /// keep each batch's own line numbers. That concatenation is NOT always
-/// equivalent to committing the batches one by one: a batch that removes
-/// a triple or value an earlier batch in the same group introduced fails
-/// to bind (GraphDelta removals must reference base-graph nodes). Append
-/// surfaces those cases as errors; the pipeline reacts by re-binding the
-/// group per batch, which restores exact serial semantics.
+/// equivalent to committing the batches one by one, and Append refuses
+/// the batches where it is not:
+///   - a batch that removes a triple or value an earlier batch in the
+///     same group introduced (GraphDelta removals must reference
+///     base-graph nodes);
+///   - a batch whose triple op opposes one an earlier batch in the group
+///     holds — remove-then-re-add or add-then-remove of the same triple —
+///     or removes a triple an earlier batch already removes. Graph::Apply
+///     applies every add before every remove, so one combined delta would
+///     delete a re-added triple, or fail on the repeated removal.
+/// The pipeline reacts to a refused Append by re-binding the group per
+/// batch, which restores exact serial semantics.
 class DeltaBinder {
  public:
   /// The graph and base table must outlive the binder; so must every
@@ -139,9 +147,10 @@ class DeltaBinder {
   DeltaBinder& operator=(const DeltaBinder&) = delete;
 
   /// Binds one tokenized batch into the accumulated delta, exactly as
-  /// BindDeltaText would bind it after the preceding appends. On failure
-  /// the accumulated delta may hold part of the failing batch: discard
-  /// the binder and rebind from scratch.
+  /// BindDeltaText would bind it after the preceding appends.
+  /// FailedPrecondition when the batch conflicts with an earlier one (see
+  /// above). On failure the accumulated delta may hold part of the failing
+  /// batch: discard the binder and rebind from scratch.
   Status Append(const TokenizedText& tokens);
 
   /// Triple operations (adds + removes) accumulated so far. Comparing
@@ -154,9 +163,39 @@ class DeltaBinder {
   GraphDelta Take(std::unordered_map<std::string, NodeId>* new_bindings);
 
  private:
+  /// Records the triple ops the delta gained since the last call — those
+  /// of the batches appended so far — in earlier_ops_.
+  void IndexEarlierOps();
+
+  /// A staged triple with its predicate interned binder-locally.
+  struct OpKey {
+    NodeId s;
+    uint32_t pred;
+    NodeId o;
+    friend bool operator==(const OpKey& a, const OpKey& b) {
+      return a.s == b.s && a.pred == b.pred && a.o == b.o;
+    }
+  };
+  struct OpKeyHash {
+    size_t operator()(const OpKey& k) const noexcept {
+      uint64_t h = (static_cast<uint64_t>(k.s) << 32) ^ k.o;
+      h ^= static_cast<uint64_t>(k.pred) * 0x9e3779b97f4a7c15ull;
+      return std::hash<uint64_t>{}(h);
+    }
+  };
+  static constexpr uint8_t kHeldAdd = 1;
+  static constexpr uint8_t kHeldRemove = 2;
+
   const Graph& g_;
   const std::unordered_map<std::string, NodeId>& base_;
   GraphDelta delta_;
+  // Ops (kHeldAdd | kHeldRemove) the earlier batches of this group hold
+  // per triple, and how far delta_'s op lists have been indexed. Built
+  // lazily, so binding a single batch never pays for it.
+  StringMap<uint32_t> preds_;
+  std::unordered_map<OpKey, uint8_t, OpKeyHash> earlier_ops_;
+  size_t indexed_added_ = 0;
+  size_t indexed_removed_ = 0;
   std::unordered_map<std::string_view, NodeId> overlay_;
   std::vector<std::pair<std::string_view, NodeId>> introduced_;
   std::string key_buf_;

@@ -428,7 +428,8 @@ StatusOr<MatchPlan> PlanCodec::DecodePlan(const Store& store,
     return Corrupt("graph/meta node-count mismatch");
   std::shared_ptr<MatchPlan::Rep> rep(
       new MatchPlan::Rep(EmContext::DeserializeShell{}, g, keys,
-                         meta.plan_options, meta.em_options));
+                         meta.plan_options, meta.em_options,
+                         meta.has_product_graph));
   EmContext& ctx = rep->ctx;
 
   // NodeSet pool. Scan order is id order (be64 keys), so sequential
@@ -614,9 +615,9 @@ StatusOr<MatchPlan> PlanCodec::DecodePlan(const Store& store,
 
   // Product graph: restore the relation pool, then replay exactly what
   // BuildProductGraph derives from it (node interning in relation-scan
-  // order, then the edge pass).
+  // order, then the same parallel edge pass).
   if (meta.has_product_graph) {
-    std::vector<std::shared_ptr<const ProductGraph::Relation>> rels;
+    std::vector<std::shared_ptr<const PairRelation>> rels;
     scan = store.Scan("R", [&](std::string_view key,
                                std::string_view value) -> Status {
       if (key.size() != 9 || GetBe64(key.data() + 1) != rels.size())
@@ -625,7 +626,7 @@ StatusOr<MatchPlan> PlanCodec::DecodePlan(const Store& store,
       uint64_t count = 0;
       if (!r.ReadVarint(&count) || count > value.size())
         return Corrupt("bad relation count");
-      auto rel = std::make_shared<ProductGraph::Relation>();
+      auto rel = std::make_shared<PairRelation>();
       rel->reserve(count);
       for (uint64_t i = 0; i < count; ++i) {
         uint64_t packed = 0;

@@ -769,6 +769,133 @@ TEST(IngestPipeline, GroupCommitFallsBackWhenBatchesInterdepend) {
   EXPECT_EQ(piped.lg.entities, serial.lg.entities);
 }
 
+/// The delta line `op` (+/-) for the entity→value triple (s, p, o).
+std::string ValueTripleLine(const LoadedGraph& lg, char op, NodeId s,
+                            Symbol p, NodeId o) {
+  std::string s_tok;
+  for (const auto& [token, id] : lg.entities) {
+    if (id == s) s_tok = token;
+  }
+  std::string lit;
+  for (char c : lg.graph.value_str(o)) {
+    if (c == '"' || c == '\\') lit.push_back('\\');
+    lit.push_back(c);
+  }
+  return std::string(1, op) + " " + s_tok + " " +
+         lg.graph.interner().Resolve(p) + " val:\"" + lit + "\"\n";
+}
+
+TEST(IngestPipeline, GroupCommitKeepsChurnedTriples) {
+  // Batch 0 removes a key triple of an identified entity and batch 1
+  // re-adds it; batches 2 and 3 add and then remove a triple the graph
+  // never had. Graph::Apply runs every add before every remove, so one
+  // combined delta would end with the churned triple deleted. The binder
+  // refuses the opposing ops and the group replays per batch.
+  PipeFixture base = PipeFixture::Make(38);
+  ASSERT_FALSE(base.result.pairs.empty());
+  const Graph& g = base.lg.graph;
+  const NodeId s = base.result.pairs.front().first;
+  Symbol churned_pred = kNoSymbol;
+  NodeId churned_val = kNoNode;
+  for (const Edge& e : g.Out(s)) {
+    if (g.IsValue(e.dst)) {
+      churned_pred = e.pred;
+      churned_val = e.dst;
+      break;
+    }
+  }
+  ASSERT_NE(churned_val, kNoNode);
+  // A fresh triple between existing nodes: s → the value of another
+  // entity's attribute, under a predicate s does not carry.
+  const NodeId t = base.result.pairs.back().second;
+  Symbol fresh_pred = kNoSymbol;
+  NodeId fresh_val = kNoNode;
+  for (const Edge& e : g.Out(t)) {
+    if (g.IsValue(e.dst) && !g.HasTriple(s, e.pred, e.dst)) {
+      fresh_pred = e.pred;
+      fresh_val = e.dst;
+      break;
+    }
+  }
+  ASSERT_NE(fresh_val, kNoNode);
+  std::vector<std::string> batches = {
+      ValueTripleLine(base.lg, '-', s, churned_pred, churned_val),
+      ValueTripleLine(base.lg, '+', s, churned_pred, churned_val),
+      ValueTripleLine(base.lg, '+', s, fresh_pred, fresh_val),
+      ValueTripleLine(base.lg, '-', s, fresh_pred, fresh_val),
+  };
+
+  PipeFixture serial = PipeFixture::Make(38);
+  for (const std::string& text : batches) {
+    ASSERT_TRUE(serial.SerialStep(text).ok()) << text;
+  }
+  ASSERT_TRUE(serial.lg.graph.HasTriple(s, churned_pred, churned_val));
+
+  PipeFixture piped = PipeFixture::Make(38);
+  BacklogGate gate;
+  IngestOptions opts;
+  opts.queue_depth = batches.size();
+  opts.max_coalesce = batches.size();
+  opts.cancelled = gate.Cancelled();
+  size_t next = 0;
+  IngestStats stats = piped.matcher.IngestStream(
+      piped.Session(), gate.Source(batches, &next), opts);
+  ASSERT_TRUE(stats.status.ok()) << stats.status.ToString();
+  EXPECT_EQ(stats.batches, batches.size());
+  EXPECT_EQ(stats.commits, batches.size());  // replayed per batch
+  EXPECT_TRUE(piped.lg.graph.HasTriple(s, churned_pred, churned_val));
+  EXPECT_TRUE(piped.Outcome() == serial.Outcome());
+  EXPECT_EQ(piped.lg.entities, serial.lg.entities);
+}
+
+TEST(FastDelta, DeltaBinderRefusesOpsOpposingAnEarlierBatch) {
+  PipeFixture base = PipeFixture::Make(39);
+  const Graph& g = base.lg.graph;
+  NodeId s = kNoNode;
+  Edge attr{};
+  g.ForEachTriple([&](const Triple& t) {
+    if (s == kNoNode && g.IsValue(t.object)) {
+      s = t.subject;
+      attr = Edge{t.pred, t.object};
+    }
+  });
+  ASSERT_NE(s, kNoNode);
+  const std::string remove =
+      ValueTripleLine(base.lg, '-', s, attr.pred, attr.dst);
+  const std::string add = ValueTripleLine(base.lg, '+', s, attr.pred, attr.dst);
+  struct Case {
+    std::vector<std::string> batches;
+    bool refused;  // whether the LAST batch is refused
+  };
+  const Case cases[] = {
+      {{remove, add}, true},          // remove, then re-add
+      {{add, remove}, true},          // add, then remove
+      {{remove, remove}, true},       // the same removal twice
+      {{add, add}, false},            // repeated adds are idempotent
+      {{remove + add}, false},        // one batch may do both itself
+      {{"# other\n", remove}, false},  // unrelated earlier batch
+  };
+  for (const Case& c : cases) {
+    std::string all;
+    for (const std::string& b : c.batches) all += b + "|";
+    SCOPED_TRACE(all);
+    std::vector<TokenizedText> tokens;
+    for (const std::string& b : c.batches) {
+      tokens.push_back(TokenizeDeltaText(b));
+    }
+    DeltaBinder binder(g, base.lg.entities);
+    for (size_t i = 0; i + 1 < tokens.size(); ++i) {
+      ASSERT_TRUE(binder.Append(tokens[i]).ok());
+    }
+    Status st = binder.Append(tokens.back());
+    if (c.refused) {
+      EXPECT_EQ(st.code(), StatusCode::kFailedPrecondition) << st.ToString();
+    } else {
+      EXPECT_TRUE(st.ok()) << st.ToString();
+    }
+  }
+}
+
 TEST(FastDelta, DeltaBinderGroupEqualsConcatenatedText) {
   PipeFixture base = PipeFixture::Make(37);
   Rng rng(83);

@@ -20,11 +20,13 @@
 
 #include "common/rng.h"
 #include "core/matcher.h"
+#include "gen/datasets.h"
 #include "gen/synthetic.h"
 #include "graph/delta.h"
 #include "io/triples.h"
 #include "storage/mmap_store.h"
 #include "storage/snapshot.h"
+#include "product_graph_oracle.h"
 #include "test_util.h"
 
 namespace gkeys {
@@ -162,15 +164,16 @@ struct Session {
   MatchResult result;
 };
 
-Session CompileAndRun(Graph g, KeySet keys, Algorithm algo) {
+Session CompileAndRun(Graph g, KeySet keys, Algorithm algo,
+                      int processors = 2) {
   Session s;
   s.graph = std::make_unique<Graph>(std::move(g));
   s.keys = std::make_unique<KeySet>(std::move(keys));
-  auto plan =
-      Matcher::Compile(*s.graph, *s.keys, PlanOptions::For(algo, 2));
+  auto plan = Matcher::Compile(*s.graph, *s.keys,
+                               PlanOptions::For(algo, processors));
   EXPECT_TRUE(plan.ok()) << plan.status().ToString();
   s.plan = *std::move(plan);
-  auto run = Matcher(algo).processors(2).Run(s.plan);
+  auto run = Matcher(algo).processors(processors).Run(s.plan);
   EXPECT_TRUE(run.ok()) << run.status().ToString();
   s.result = *std::move(run);
   return s;
@@ -235,9 +238,10 @@ void ExpectEquivalentDerivations(const std::vector<Derivation>& a,
 }
 
 void ExpectRoundTrip(Graph g, KeySet keys, Algorithm algo,
-                     const std::string& name) {
+                     const std::string& name, int processors = 2) {
   SCOPED_TRACE("algo=" + AlgorithmName(algo) + " dataset=" + name);
-  Session s = CompileAndRun(std::move(g), std::move(keys), algo);
+  Session s =
+      CompileAndRun(std::move(g), std::move(keys), algo, processors);
   std::string path =
       SaveToFile(s, algo, name + "_" + AlgorithmName(algo));
 
@@ -255,14 +259,15 @@ void ExpectRoundTrip(Graph g, KeySet keys, Algorithm algo,
   EXPECT_EQ(snap->result().pairs, s.result.pairs);
   ExpectSameDerivations(snap->result().derivations, s.result.derivations);
 
-  // The restored plan is structurally equivalent...
+  // The restored plan is structurally equivalent: the same candidates,
+  // and a product graph replayed from the stored relations that matches
+  // the compiled one node for node, edge for edge.
   EXPECT_EQ(snap->plan().num_candidates(), s.plan.num_candidates());
   EXPECT_EQ(snap->plan().has_product_graph(), s.plan.has_product_graph());
-  if (s.plan.has_product_graph()) {
-    EXPECT_EQ(snap->plan().product_graph().NumNodes(),
-              s.plan.product_graph().NumNodes());
-    EXPECT_EQ(snap->plan().product_graph().NumEdges(),
-              s.plan.product_graph().NumEdges());
+  if (s.plan.has_product_graph() && snap->plan().has_product_graph()) {
+    testing::ExpectSameProductGraph(snap->plan().product_graph(),
+                                    s.plan.product_graph(),
+                                    s.plan.num_candidates());
   }
   // ...and runnable: re-running it reproduces the pairs exactly.
   auto rerun = Matcher(algo).processors(2).Run(snap->plan());
@@ -294,6 +299,18 @@ TEST(SnapshotRoundTrip, SyntheticAllAlgorithms) {
   SyntheticDataset ds = GenerateSynthetic(cfg);
   for (Algorithm algo : AllAlgorithms()) {
     ExpectRoundTrip(ds.graph, ds.keys, algo, "synthetic");
+  }
+}
+
+TEST(SnapshotRoundTrip, DBpediaAtFourProcessorsKeepsFullProductGraph) {
+  // Big enough (> 256 product nodes) that both the compile and the
+  // load-time replay run the edge pass on four threads.
+  DBpediaSimConfig cfg;
+  cfg.seed = 5;
+  cfg.scale = 4.0;
+  SyntheticDataset ds = GenerateDBpediaSim(cfg);
+  for (Algorithm algo : {Algorithm::kEmVc, Algorithm::kEmOptVc}) {
+    ExpectRoundTrip(ds.graph, ds.keys, algo, "dbpedia", /*processors=*/4);
   }
 }
 
